@@ -1,9 +1,9 @@
 //! **FIFO-CONTENTION** — multithreaded throughput and concurrent
 //! rank-error sweep of the relaxed FIFO family across shard backends.
 //!
-//! For every `(queue ∈ {d-RA, d-CBO}) × (backend ∈ {mutex, ms, segring,
-//! faa}) × threads` cell, `threads` workers hammer one shared queue with a
-//! 50/50 enqueue/dequeue mix while the
+//! For every `(queue ∈ {d-RA, d-CBO}) × (backend ∈ {mutex, ms,
+//! segring}) × threads` cell, `threads` workers hammer one shared queue
+//! with a 50/50 enqueue/dequeue mix while the
 //! [`ConcurrentRankEstimator`] stamps every enqueue and logs every
 //! dequeue. Each worker drives the queue through its **worker session**
 //! ([`FifoSession`]): the amortized epoch pin, owned home shards drained
@@ -47,7 +47,7 @@ use rsched_bench::{
     telemetry_json_fields, write_json_artifact, Scale,
 };
 use rsched_queues::instrument::ConcurrentRankEstimator;
-use rsched_queues::lockfree::{FaaRingQueue, MsQueue, SegRingQueue};
+use rsched_queues::lockfree::{MsQueue, SegRingQueue};
 use rsched_queues::trace::{self, EventKind};
 use rsched_queues::{
     telemetry, DCboQueue, DRaQueue, FifoRankStats, FifoSession, MutexSub, PopSource, QueueBuilder,
@@ -303,14 +303,10 @@ fn main() {
         let shards = shards_override.unwrap_or((shard_mult * threads).max(4));
         type Cell<'a> = (&'a str, &'a str, Box<dyn Fn() -> Trial>);
         // Both family members over one backend, as boxed cells.
+        type Args = (usize, usize, usize, usize, Mix, Tuning);
         fn backend_cells<S: SubFifo<u64> + 'static>(
             backend: &'static str,
-            shards: usize,
-            threads: usize,
-            ops_per_thread: usize,
-            prefill: usize,
-            mix: Mix,
-            tuning: Tuning,
+            (shards, threads, ops_per_thread, prefill, mix, tuning): Args,
         ) -> Vec<Cell<'static>> {
             vec![
                 (
@@ -331,47 +327,15 @@ fn main() {
                 ),
             ]
         }
-        let mut makes: Vec<Cell<'_>> = Vec::new();
-        for backend in ["mutex", "ms", "segring", "faa"] {
-            makes.extend(match backend {
-                "mutex" => backend_cells::<MutexSub<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                "ms" => backend_cells::<MsQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                "segring" => backend_cells::<SegRingQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-                _ => backend_cells::<FaaRingQueue<u64>>(
-                    backend,
-                    shards,
-                    threads,
-                    ops_per_thread,
-                    prefill,
-                    mix,
-                    tuning,
-                ),
-            });
-        }
+        let args = (shards, threads, ops_per_thread, prefill, mix, tuning);
+        let makes: Vec<Cell<'_>> = [
+            backend_cells::<MutexSub<u64>>("mutex", args),
+            backend_cells::<MsQueue<u64>>("ms", args),
+            backend_cells::<SegRingQueue<u64>>("segring", args),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         // Interleave the repetitions round-robin so background-load
         // drift on the host hits every cell equally, then keep each
         // cell's best run.

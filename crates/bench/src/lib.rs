@@ -130,18 +130,14 @@ pub fn spawn_batch_adaptive() -> bool {
 /// counters, and the epoch-GC progress pair. Every contention bin
 /// appends this to its record so `bench_compare` can gate the tails
 /// uniformly; structure-specific extras (floor scan, registry probes,
-/// segment installs) ride separately. The flat-combining trio
-/// (`batch_p50`/`batch_p99`/`combined_ops`/`claim_fanout`) is all-zero
-/// for backends without a combiner.
+/// segment installs) ride separately.
 pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
     format!(
         "\"retry_p50\":{},\"retry_p99\":{},\"retry_p999\":{},\"retry_max\":{},\
          \"retry_count\":{},\"steal_p50\":{},\"steal_p99\":{},\"steal_p999\":{},\
          \"sweep_p99\":{},\"empty_pops\":{},\"flush_published\":{},\
          \"flush_merged\":{},\"flush_merge_ratio\":{:.6},\
-         \"gc_deferred\":{},\"gc_collected\":{},\
-         \"batch_p50\":{},\"batch_p99\":{},\"batch_max\":{},\
-         \"combined_ops\":{},\"claim_fanout\":{}",
+         \"gc_deferred\":{},\"gc_collected\":{}",
         t.retry.p50,
         t.retry.p99,
         t.retry.p999,
@@ -157,11 +153,6 @@ pub fn telemetry_json_fields(t: &rsched_queues::TelemetrySnapshot) -> String {
         t.flush_merge_ratio(),
         t.gc_deferred,
         t.gc_collected,
-        t.batch.p50,
-        t.batch.p99,
-        t.batch.max,
-        t.combined_ops,
-        t.claim_fanout,
     )
 }
 

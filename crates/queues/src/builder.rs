@@ -28,9 +28,8 @@
 //! assert_eq!(mutex_mq.nqueues(), 8);
 //! ```
 //!
-//! The old constructors survive as thin `#[deprecated]` aliases that
-//! funnel into the same `construct` bodies, so downstream call sites
-//! migrate incrementally without a behaviour change.
+//! The builder is the only public way in: each structure keeps one
+//! crate-private `construct` body, and every terminal funnels there.
 
 use crate::bucket::BucketFifoQueue;
 use crate::fifo::{DCboQueue, DRaQueue, SubFifo};
@@ -156,13 +155,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn builder_terminals_match_their_deprecated_aliases() {
-        // Same shard counts and knobs as the old spellings produce.
+    fn builder_terminals_apply_their_knobs() {
         let mq = QueueBuilder::new(6).universe(100).multiqueue::<u64>();
         assert_eq!(mq.nqueues(), 6);
-        #[allow(deprecated)]
-        let old = ConcurrentMultiQueue::<u64>::with_universe(6, 100);
-        assert_eq!(old.nqueues(), 6);
 
         let dra = QueueBuilder::new(3).choices(4).seed(9).d_ra::<usize>();
         assert_eq!((dra.num_shards(), dra.choices()), (3, 4));

@@ -501,13 +501,6 @@ pub struct DRaQueue<T, S = SegRingQueue<T>> {
 }
 
 impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
-    /// `subqueues` shards of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`).
-    #[deprecated(note = "use QueueBuilder::new(subqueues).choices(d).seed(s).d_ra_on::<T, S>()")]
-    pub fn with_backend(subqueues: usize, d: usize, seed: u64) -> Self {
-        Self::construct(subqueues, d, seed)
-    }
-
     /// The one real constructor, reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
     pub(crate) fn construct(subqueues: usize, d: usize, seed: u64) -> Self {
@@ -795,21 +788,6 @@ impl<T: Send, S: SubFifo<T>> DRaQueue<T, S> {
     }
 }
 
-impl<T: Send> DRaQueue<T> {
-    /// `subqueues` sub-FIFOs with `d` choices per operation, on the
-    /// default lock-free segmented-ring backend.
-    #[deprecated(note = "use QueueBuilder::new(subqueues).choices(d).seed(s).d_ra()")]
-    pub fn new(subqueues: usize, d: usize, seed: u64) -> Self {
-        Self::construct(subqueues, d, seed)
-    }
-
-    /// The classic two-choice configuration.
-    #[deprecated(note = "use QueueBuilder::new(subqueues).seed(s).d_ra()")]
-    pub fn choice_of_two(subqueues: usize, seed: u64) -> Self {
-        Self::construct(subqueues, 2, seed)
-    }
-}
-
 impl<T, S: SubFifo<T>> std::fmt::Debug for DRaQueue<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DRaQueue")
@@ -900,13 +878,6 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     /// Largest supported choice count `d` (the dequeue candidate buffer
     /// is stack-allocated at this size).
     pub const MAX_CHOICES: usize = MAX_CHOICES;
-
-    /// `shards` sub-FIFOs of backend `S` with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`).
-    #[deprecated(note = "use QueueBuilder::new(shards).choices(d).seed(s).d_cbo_on::<T, S>()")]
-    pub fn with_backend(shards: usize, d: usize, seed: u64) -> Self {
-        Self::construct(shards, d, seed)
-    }
 
     /// The one real constructor, reached through
     /// [`QueueBuilder`](crate::QueueBuilder).
@@ -1148,22 +1119,6 @@ impl<T: Send, S: SubFifo<T>> DCboQueue<T, S> {
     }
 }
 
-impl<T: Send> DCboQueue<T> {
-    /// `shards` sub-FIFOs with the classic two choices per operation, on
-    /// the default lock-free segmented-ring backend.
-    #[deprecated(note = "use QueueBuilder::new(shards).seed(s).d_cbo()")]
-    pub fn new(shards: usize, seed: u64) -> Self {
-        Self::construct(shards, 2, seed)
-    }
-
-    /// `shards` sub-FIFOs with `d` choices per operation
-    /// (`1 ..= MAX_CHOICES`), on the default backend.
-    #[deprecated(note = "use QueueBuilder::new(shards).choices(d).seed(s).d_cbo()")]
-    pub fn with_choice(shards: usize, d: usize, seed: u64) -> Self {
-        Self::construct(shards, d, seed)
-    }
-}
-
 impl<T, S: SubFifo<T>> std::fmt::Debug for DCboQueue<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DCboQueue")
@@ -1210,16 +1165,12 @@ pub type DRaMutexQueue<T> = DRaQueue<T, MutexSub<T>>;
 pub type DRaMsQueue<T> = DRaQueue<T, crate::lockfree::MsQueue<T>>;
 /// d-RA over lock-free segmented-ring shards (the default).
 pub type DRaSegQueue<T> = DRaQueue<T, SegRingQueue<T>>;
-/// d-RA over fetch-add claimed ring shards (CRQ-style).
-pub type DRaFaaQueue<T> = DRaQueue<T, crate::lockfree::FaaRingQueue<T>>;
 /// d-CBO over mutex-guarded shards (the PR 1 baseline).
 pub type DCboMutexQueue<T> = DCboQueue<T, MutexSub<T>>;
 /// d-CBO over lock-free Michael–Scott shards.
 pub type DCboMsQueue<T> = DCboQueue<T, crate::lockfree::MsQueue<T>>;
 /// d-CBO over lock-free segmented-ring shards (the default).
 pub type DCboSegQueue<T> = DCboQueue<T, SegRingQueue<T>>;
-/// d-CBO over fetch-add claimed ring shards (CRQ-style).
-pub type DCboFaaQueue<T> = DCboQueue<T, crate::lockfree::FaaRingQueue<T>>;
 
 // ---------------------------------------------------------------------
 // Rank-error instrumentation (sequential)
@@ -1415,7 +1366,6 @@ mod tests {
         check::<MutexSub<i32>>();
         check::<MsQueue<i32>>();
         check::<SegRingQueue<i32>>();
-        check::<crate::lockfree::FaaRingQueue<i32>>();
     }
 
     #[test]
@@ -1471,7 +1421,6 @@ mod tests {
         check::<MutexSub<u64>>("mutex");
         check::<MsQueue<u64>>("ms");
         check::<SegRingQueue<u64>>("segring");
-        check::<crate::lockfree::FaaRingQueue<u64>>("faa");
     }
 
     #[test]

@@ -33,18 +33,16 @@
 //!   workloads (BFS frontiers, k-core peeling).
 //! * **Lock-free sub-queues** ([`lockfree`]): the shard backends of the
 //!   FIFO family — a Michael–Scott linked queue
-//!   ([`lockfree::MsQueue`]), a CAS-claimed segmented ring buffer
-//!   ([`lockfree::SegRingQueue`], the default) and its fetch-add
-//!   claimed CRQ-style variant ([`lockfree::FaaRingQueue`]), reclaimed
-//!   through the epoch scheme in `crossbeam::epoch`, selectable per
-//!   queue through [`fifo::SubFifo`] (with [`fifo::MutexSub`] as the
-//!   locked baseline).
+//!   ([`lockfree::MsQueue`]) and a CAS-claimed segmented ring buffer
+//!   ([`lockfree::SegRingQueue`], the default), reclaimed through the
+//!   epoch scheme in `crossbeam::epoch`, selectable per queue through
+//!   [`fifo::SubFifo`] (with [`fifo::MutexSub`] as the locked
+//!   baseline).
 //! * **Lock-free priority shards** ([`skipshard`]): the shard backends
 //!   of the concurrent MultiQueue — an epoch-reclaimed Harris-style
-//!   skiplist ([`skipshard::SkipShard`], the default), the
-//!   mutex-around-a-heap baseline ([`skipshard::MutexHeapSub`]) and the
-//!   flat-combining heap ([`flatcomb::FcHeapSub`]), selectable through
-//!   [`skipshard::SubPriority`].
+//!   skiplist ([`skipshard::SkipShard`], the default) and the
+//!   mutex-around-a-heap baseline ([`skipshard::MutexHeapSub`]),
+//!   selectable through [`skipshard::SubPriority`].
 //! * **The bucketed hybrid** ([`bucket`]): [`bucket::BucketFifoQueue`],
 //!   a relaxed FIFO *of buckets* (Δ-wide priority bands, popped
 //!   oldest-visible) where each bucket is itself a relaxed priority
@@ -98,26 +96,8 @@
 //! | [`MutexSub`] | `SubFifo` | mutex over `VecDeque` | lock | uncontended / few threads |
 //! | [`MsQueue`] | `SubFifo` | Michael–Scott CAS list | head CAS retry loop | unbounded size, moderate contention |
 //! | [`SegRingQueue`] (default) | `SubFifo` | segmented ring, CAS-claimed slots | slot CAS retry loop | steady churn, allocation-free |
-//! | [`FaaRingQueue`] | `SubFifo` | segmented ring, fetch-add-claimed slots | **one `fetch_add`** (publish-or-skip arbitration) | popper/popper contention — the CAS convoy case |
 //! | [`MutexHeapSub`] | `SubPriority` | mutex over indexed heap | lock | uncontended / few threads |
 //! | [`SkipShard`] (default) | `SubPriority` | Harris skiplist + registry | mark-bit CAS | multicore contention, oversubscription |
-//! | [`FcHeapSub`] | `SubPriority` | **flat combining** over indexed heap | publish + one combining round | lock-convoy thread counts |
-//!
-//! ### The flat-combining layer
-//!
-//! [`flatcomb::FcHeapSub`] is the odd one out: neither a lock-free
-//! structure nor a plain locked one, it keeps the *sequential* heap and
-//! changes who executes the ops. Threads publish operations into
-//! per-thread cache-padded publication records; whichever thread holds
-//! the heap lock — the **combiner** — batch-applies every pending
-//! record before releasing, so under a convoy the shared structure is
-//! touched by one cache-warm thread while everyone else does a local
-//! spin. Its progress telemetry is dual to the CAS backends': instead
-//! of retry histograms it records combining **batch sizes**
-//! ([`telemetry::OpHist::Batch`]) and combined-op/pass counters — the
-//! practically-wait-free tail question becomes "how many combining
-//! rounds can an op wait?", bounded by the apply-all-pending pass
-//! discipline (and pinned by a fairness test).
 //!
 //! Both traits thread a per-operation **token** through every sub-call —
 //! an epoch [`Guard`](crossbeam::epoch::Guard) for lock-free backends,
@@ -228,7 +208,6 @@
 pub mod bucket;
 pub mod builder;
 pub mod fifo;
-pub mod flatcomb;
 pub mod heap;
 pub mod instrument;
 pub mod kbounded;
@@ -244,20 +223,19 @@ pub mod trace;
 pub use bucket::{BucketFifoQueue, BucketSession};
 pub use builder::QueueBuilder;
 pub use fifo::{
-    DCboFaaQueue, DCboMsQueue, DCboMutexQueue, DCboQueue, DCboSegQueue, DRaFaaQueue, DRaMsQueue,
-    DRaMutexQueue, DRaQueue, DRaSegQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub,
-    PinSession, RelaxedFifo, SubFifo, TryPop,
+    DCboMsQueue, DCboMutexQueue, DCboQueue, DCboSegQueue, DRaMsQueue, DRaMutexQueue, DRaQueue,
+    DRaSegQueue, FifoRankStats, FifoRankTracker, FifoSession, MutexSub, PinSession, RelaxedFifo,
+    SubFifo, TryPop,
 };
-pub use flatcomb::FcHeapSub;
 pub use heap::IndexedBinaryHeap;
 pub use instrument::{ConcurrentRankEstimator, RankRecorder, RankStats, RankTracker};
 pub use kbounded::RotatingKQueue;
 pub use klsm::{KLsmHandle, KLsmQueue};
-pub use lockfree::{FaaRingQueue, MsQueue, SegRingQueue};
+pub use lockfree::{MsQueue, SegRingQueue};
 pub use multiqueue::Placement;
 pub use multiqueue::{
-    ConcurrentMultiQueue, DuplicateMultiQueue, FcHeapMultiQueue, MqSession, MutexHeapMultiQueue,
-    SimMultiQueue, SkipListMultiQueue,
+    ConcurrentMultiQueue, DuplicateMultiQueue, MqSession, MutexHeapMultiQueue, SimMultiQueue,
+    SkipListMultiQueue,
 };
 pub use pairing::PairingHeap;
 pub use skipshard::{MutexHeapSub, SkipShard, SubPriority, TryPopMin};
