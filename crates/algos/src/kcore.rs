@@ -11,8 +11,8 @@
 //! Each vertex enters the work queue at most once (the thread whose
 //! decrement moves the degree from `k` to `k − 1` enqueues it, and
 //! initially sub-`k` vertices are seeded), so unlike SSSP/BFS there are
-//! no stale or extra pops: the interesting statistics are the steal
-//! counts and per-worker pop balance from the runtime.
+//! no stale or extra pops: the interesting statistic is the per-worker
+//! pop balance from the runtime.
 //!
 //! The graph is expected to be symmetric (undirected edges inserted in
 //! both directions, as the workspace's generators do); on an asymmetric
@@ -35,7 +35,8 @@ pub struct KcoreStats {
     pub removed: u64,
     /// Work-queue pops (= removed: every pop peels exactly one vertex).
     pub pops: u64,
-    /// Pops stolen from a foreign shard of the d-CBO queue.
+    /// Pops stolen from a foreign shard of the d-CBO queue; 0 unless
+    /// home-shard affinity is opted in (`RSCHED_SHARDS_PER_WORKER` ≥ 1).
     pub steals: u64,
     /// Worker wall-clock time.
     pub wall: Duration,

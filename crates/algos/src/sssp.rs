@@ -10,10 +10,11 @@
 //!   `n + O(k² · d_max / w_min)`.
 //! * [`parallel_sssp`] — the **concurrent** variant behind Figures 1 and 2:
 //!   worker threads share an atomic distance array and a lock-based
-//!   [`ConcurrentMultiQueue`] (queues = multiplier × threads) with
-//!   `push_or_decrease`; scheduling, termination detection and statistics
-//!   come from the shared `rsched-runtime` worker pool — the SSSP-specific
-//!   code is just the edge-relaxation task handler.
+//!   [`ConcurrentMultiQueue`](rsched_queues::ConcurrentMultiQueue)
+//!   (queues = multiplier × threads) with `push_or_decrease`;
+//!   scheduling, termination detection and statistics come from the
+//!   shared `rsched-runtime` worker pool — the SSSP-specific code is
+//!   just the edge-relaxation task handler.
 //! * [`parallel_sssp_duplicates`] — the DecreaseKey **ablation** (Section
 //!   6's discussion): same algorithm over a duplicate-insertion MultiQueue,
 //!   where outdated copies show up as stale pops instead of being updated
@@ -224,7 +225,8 @@ fn parallel_sssp_on<S: Scheduler<Weight>>(
     }
 }
 
-/// Concurrent SSSP over a keyed [`ConcurrentMultiQueue`] with
+/// Concurrent SSSP over a keyed
+/// [`ConcurrentMultiQueue`](rsched_queues::ConcurrentMultiQueue) with
 /// `push_or_decrease` (the Section 7 experiment engine).
 ///
 /// Since PR 3 the MultiQueue's default shard backend is the lock-free

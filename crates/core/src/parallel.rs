@@ -62,9 +62,9 @@ impl ParExecStats {
 }
 
 /// Concurrent Algorithm 2: worker threads pull tasks from a keyed
-/// [`ConcurrentMultiQueue`] in relaxed label order; a popped task whose
-/// dependencies are unsatisfied is re-queued and the step counted as
-/// wasted.
+/// [`ConcurrentMultiQueue`](rsched_queues::ConcurrentMultiQueue) in
+/// relaxed label order; a popped task whose dependencies are
+/// unsatisfied is re-queued and the step counted as wasted.
 ///
 /// Unlike the sequential model — where a blocked task stays in the queue —
 /// a concurrent pop must physically remove the element, so blocked tasks

@@ -40,7 +40,9 @@
 //!   state object (epoch pin, shard-picker RNG, owned home shards,
 //!   sticky peek cache, bounded spawn buffer), configured through
 //!   [`RuntimeConfig::shards_per_worker`] / `spawn_batch` (env:
-//!   `RSCHED_SHARDS_PER_WORKER`, `RSCHED_SPAWN_BATCH`).
+//!   `RSCHED_SHARDS_PER_WORKER`, `RSCHED_SPAWN_BATCH`). Home shards are
+//!   opt-in (default 0): draining them first inverts FIFO order without
+//!   bound, so by default every FIFO pop is the unaffine choice-of-`d`.
 //! * [`run`] drives the pool: pop → handler → ([`TaskOutcome`]) →
 //!   re-queue blocked tasks, with quiescence termination detection
 //!   ([`ActiveCounter`]) over queued-plus-in-flight tasks (buffered
@@ -237,6 +239,16 @@ mod tests {
         );
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..100).collect::<Vec<_>>(), "1 queue = exact order");
+    }
+
+    #[test]
+    fn default_config_is_unaffine() {
+        if std::env::var_os("RSCHED_SHARDS_PER_WORKER").is_some() {
+            return;
+        }
+        let cfg = RuntimeConfig::default();
+        assert_eq!(cfg.shards_per_worker, 0, "home shards must be opt-in");
+        assert_eq!(cfg.session_config(1).shards_per_worker, 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! # Deadlines and the EDF timebase
 //!
 //! Every scheduling key is a nanosecond reading of **one** monotonic
-//! clock, the server's epoch ([`Shared::now_ns`]):
+//! clock, the server's epoch (`Shared::now_ns`):
 //!
 //! - a v1 [`Request::Submit`] (and a v2 submit on a connection that
 //!   was not granted [`FEAT_EDF`]) is keyed by its *arrival* stamp —

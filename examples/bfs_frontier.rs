@@ -43,8 +43,8 @@ fn main() {
 
     let available = std::thread::available_parallelism().map_or(4, |p| p.get());
     println!(
-        "{:>8} {:>8} {:>10} {:>8} {:>9} {:>8} {:>8} {:>10}",
-        "threads", "shards", "executed", "stale", "overhead", "home", "steals", "time"
+        "{:>8} {:>8} {:>10} {:>8} {:>9} {:>10}",
+        "threads", "shards", "executed", "stale", "overhead", "time"
     );
     for threads in [1, 2, 4, available.min(8)] {
         let stats = parallel_bfs(
@@ -58,14 +58,12 @@ fn main() {
         );
         assert_eq!(stats.dist, exact, "relaxed-FIFO BFS must stay exact");
         println!(
-            "{:>8} {:>8} {:>10} {:>8} {:>8.4}x {:>8} {:>8} {:>9.1?}",
+            "{:>8} {:>8} {:>10} {:>8} {:>8.4}x {:>9.1?}",
             threads,
             2 * threads,
             stats.executed,
             stats.stale,
             stats.overhead(),
-            stats.home_hits,
-            stats.steals,
             stats.wall
         );
     }

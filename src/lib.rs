@@ -47,8 +47,9 @@
 //!
 //! Every worker owns a **session** (`Scheduler::Session`, built from the
 //! `rsched_queues` worker-session layer): the amortized epoch pin, the
-//! worker's shard-picker RNG, its owned *home shards* (drained before
-//! choice-of-two stealing; `RSCHED_SHARDS_PER_WORKER`), the MultiQueue's
+//! worker's shard-picker RNG, its owned *home shards* (opt-in via
+//! `RSCHED_SHARDS_PER_WORKER`, drained before choice-of-two stealing;
+//! off by default, since draining them inverts FIFO order), the MultiQueue's
 //! sticky peek cache, and a bounded spawn buffer that publishes batches
 //! (`RSCHED_SPAWN_BATCH`) — one abstraction where earlier revisions had
 //! `PinSession` threading, `StickySession` and thread-local picker RNGs.
@@ -78,7 +79,7 @@
 //!
 //! // Relaxation reorders expansions but never changes the layering.
 //! assert_eq!(stats.dist, bfs(&g, 0));
-//! println!("overhead = {:.4}, steals = {}", stats.overhead(), stats.steals);
+//! println!("overhead = {:.4}, stale = {}", stats.overhead(), stats.stale);
 //! ```
 //!
 //! ## Quickstart
