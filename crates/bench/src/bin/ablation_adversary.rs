@@ -10,7 +10,7 @@
 //! * `dependency_aware` — prefer returning *blocked* tasks (the strongest
 //!   adversary; state-aware).
 //!
-//! This is the ablation DESIGN.md calls out for the claim that the paper's
+//! This is the ablation behind the claim that the paper's
 //! bounds hold for *any* admissible scheduler: the gap between benign and
 //! worst-case behaviours is the "price of adversariality".
 //!

@@ -3,27 +3,24 @@
 //!
 //! For every `(backend ∈ {mutexheap, skiplist}) × threads` cell,
 //! `threads` workers hammer one shared [`BucketFifoQueue`] with the
-//! **Δ-stepping workload**: alternating `push_or_decrease` of a random
-//! item at a full-distance priority just above the worker's advancing
-//! front, and an oldest-bucket-first relaxed pop — the operation mix
-//! `relaxed_delta_stepping` issues while its distance frontier sweeps
-//! forward through the Δ-wide buckets. Every worker drives the queue
-//! through its [`BucketSession`] (amortized epoch pin, home shard
-//! columns, per-bucket-grouped spawn batching), so the sweep exercises
-//! exactly the runtime's session path — this is the workload that runs
-//! FIFO relaxation (across buckets) and priority relaxation (inside a
-//! bucket) at the same time.
+//! **Δ-stepping workload** ([`front_trial`]): alternating
+//! `push_or_decrease` of a random item at a full-distance priority just
+//! above the worker's advancing front, and an oldest-bucket-first
+//! relaxed pop — the operation mix `relaxed_delta_stepping` issues while
+//! its distance frontier sweeps forward through the Δ-wide buckets.
+//! Every worker drives the queue through its [`BucketSession`]
+//! (amortized epoch pin, home shard columns, per-bucket-grouped spawn
+//! batching), so the sweep exercises exactly the runtime's session path
+//! — this is the workload that runs FIFO relaxation (across buckets) and
+//! priority relaxation (inside a bucket) at the same time.
 //!
-//! Results print as one JSON object per line (prefixed `json,`); set
-//! `RSCHED_JSON_OUT=<path>` to also write the full run as a JSON array
-//! (the CI `BENCH_bucket_contention.json` artifact). Env knobs match
-//! the sibling sweeps: `RSCHED_THREADS`, `RSCHED_SCALE`, `RSCHED_REPS`,
-//! `RSCHED_SHARD_MULT` / `RSCHED_SHARDS` (priority shards per bucket),
-//! `RSCHED_PREFILL` / `RSCHED_UNIVERSE`, `RSCHED_SHARDS_PER_WORKER` /
-//! `RSCHED_SPAWN_BATCH`, plus `RSCHED_DELTA` for the bucket width
-//! (default 1024 against priority steps of 0..1000 — a couple of live
-//! buckets at any moment, with the front sweeping through hundreds over
-//! a run).
+//! The shared knobs and the trial itself are in
+//! [`rsched_bench::contention`]. This sweep defaults to two priority
+//! shards per thread in every bucket (`RSCHED_SHARD_MULT`) and a
+//! 4096-deep prefill, and adds `RSCHED_UNIVERSE` (item-id range) and
+//! `RSCHED_DELTA`, the bucket width (default 1024 against priority steps
+//! of 0..1000 — a couple of live buckets at any moment, with the front
+//! sweeping through hundreds over a run).
 //!
 //! ```text
 //! cargo run -p rsched-bench --release --bin bucket_contention
@@ -32,286 +29,50 @@
 //! ```
 //!
 //! [`BucketSession`]: rsched_queues::BucketSession
+//! [`front_trial`]: rsched_bench::contention::front_trial
 
-use rsched_bench::{
-    env_opt_usize, env_thread_list, env_usize, session_knobs, telemetry_json_fields,
-    write_json_artifact, Scale,
-};
-use rsched_queues::{
-    telemetry, BucketFifoQueue, FlushReport, MutexHeapSub, PopSource, PushOutcome, QueueBuilder,
-    SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
+use rsched_bench::contention::{front_trial, Cell, Sweep, Trial};
+use rsched_bench::env_usize;
+use rsched_queues::{BucketFifoQueue, MutexHeapSub, QueueBuilder, SkipShard, SubPriority};
 
-struct Trial {
-    wall_s: f64,
-    ops: u64,
-    pops: u64,
-    home_hits: u64,
-    steals: u64,
-    inserts: u64,
-    merges: u64,
-    buckets: u64,
-    telemetry: TelemetrySnapshot,
-}
-
-/// Per-worker conservation bookkeeping over session outcomes (same
-/// net-insert rule as `mq_contention`: [`PushOutcome::net_new`]).
-#[derive(Default)]
-struct Accounting {
-    pushes: u64,
-    net: i64,
-}
-
-impl Accounting {
-    fn push(&mut self, out: PushOutcome) {
-        self.pushes += 1;
-        self.net += out.net_new();
-    }
-
-    fn flush(&mut self, rep: FlushReport) {
-        self.net -= rep.merged as i64;
-    }
-
-    fn inserts(&self) -> u64 {
-        self.net as u64
-    }
-
-    fn merges(&self) -> u64 {
-        self.pushes - self.net as u64
-    }
-}
-
-/// Run one contention cell: `threads` workers, each `ops_per_thread`
-/// operations of the Δ-stepping mix against `queue`, through sessions.
-fn trial<S: SubPriority<u64>>(
-    queue: &BucketFifoQueue<S>,
-    threads: usize,
-    ops_per_thread: usize,
-    prefill: usize,
-    universe: usize,
-    session_cfg: SessionConfig,
-) -> Trial {
-    use rand::Rng;
-    let prefill_inserts = {
-        let mut acct = Accounting::default();
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0xB0C4);
-        let mut session = queue.session(&SessionConfig::unaffine(0xB0C4));
-        for _ in 0..prefill {
-            let item = rng.gen_range(0..universe);
-            acct.push(queue.push_session(item, rng.gen_range(0..1_000), &mut session));
-        }
-        acct.flush(queue.flush_session(&mut session));
-        acct.inserts()
-    };
-    // Telemetry window = the contended phase only: reset after the
-    // single-threaded prefill, capture before the drain below.
-    telemetry::reset();
-    let barrier = Barrier::new(threads);
-    let pops = AtomicU64::new(0);
-    let home_hits = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
-    let inserts = AtomicU64::new(0);
-    let merges = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let (barrier, pops, home_hits, steals, inserts, merges, queue) = (
-                &barrier, &pops, &home_hits, &steals, &inserts, &merges, &queue,
-            );
-            scope.spawn(move || {
-                let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(
-                    tid as u64 * 0x9E37 + 1,
-                );
-                let mut acct = Accounting::default();
-                let (mut my_pops, mut my_homes, mut my_steals) = (0u64, 0u64, 0u64);
-                // The worker's advancing distance front, as in
-                // Δ-stepping: new priorities land just above the last
-                // popped distance, so the live window of buckets sweeps
-                // forward through the directory.
-                let mut front = 0u64;
-                let mut session = queue.session(&SessionConfig {
-                    tid,
-                    workers: threads,
-                    seed: tid as u64 * 0x5E55 + 7,
-                    ..session_cfg
-                });
-                barrier.wait();
-                for op in 0..ops_per_thread {
-                    if op % 2 == 0 {
-                        let item = rng.gen_range(0..universe);
-                        let prio = front + rng.gen_range(0..1_000u64);
-                        acct.push(queue.push_session(item, prio, &mut session));
-                    } else if let Some(((_, d), src)) = queue.pop_session(&mut session) {
-                        my_pops += 1;
-                        match src {
-                            PopSource::Home => my_homes += 1,
-                            PopSource::Steal => my_steals += 1,
-                            PopSource::Shared => {}
-                        }
-                        front = front.max(d);
-                    }
-                }
-                // Forced flush: parked pushes must publish before the
-                // conservation accounting below.
-                acct.flush(queue.flush_session(&mut session));
-                pops.fetch_add(my_pops, Ordering::Relaxed);
-                home_hits.fetch_add(my_homes, Ordering::Relaxed);
-                steals.fetch_add(my_steals, Ordering::Relaxed);
-                inserts.fetch_add(acct.inserts(), Ordering::Relaxed);
-                merges.fetch_add(acct.merges(), Ordering::Relaxed);
-            });
-        }
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let snapshot = telemetry::capture();
-    let buckets = queue.buckets_allocated() as u64;
-    // Drain (outside the timed phase) and check conservation: every
-    // insert that reported "net-new" must come out exactly once.
-    let mut drain = queue.session(&SessionConfig::unaffine(0));
-    let mut drained = 0u64;
-    while queue.pop_session(&mut drain).is_some() {
-        drained += 1;
-    }
-    let popped = pops.load(Ordering::Relaxed);
-    let inserted = prefill_inserts + inserts.load(Ordering::Relaxed);
-    assert_eq!(
-        inserted,
-        popped + drained,
-        "conservation violated: {inserted} in, {popped} + {drained} out"
-    );
-    Trial {
-        wall_s,
-        ops: (threads * ops_per_thread) as u64,
-        pops: popped,
-        home_hits: home_hits.load(Ordering::Relaxed),
-        steals: steals.load(Ordering::Relaxed),
-        inserts: inserts.load(Ordering::Relaxed),
-        merges: merges.load(Ordering::Relaxed),
-        buckets,
-        telemetry: snapshot,
-    }
+/// One trial, plus the buckets the front touched (buckets are never
+/// freed, so the count after the drain is the count the workers left).
+fn run<S: SubPriority<u64>>(b: QueueBuilder, cell: &Cell, universe: usize) -> (Trial, usize) {
+    let q: BucketFifoQueue<S> = b.bucket_fifo_on();
+    let t = front_trial(&q, cell, universe, 0xB0C4);
+    (t, q.buckets_allocated())
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let ops_per_thread = match scale {
-        Scale::Small => 100_000usize,
-        Scale::Medium => 400_000,
-        Scale::Paper => 1_000_000,
-    };
-    let prefill = env_usize("RSCHED_PREFILL", 4_096);
+    let mut sweep = Sweep::from_env(&[1, 2, 4, 8, 16, 32, 64], 2, 4_096);
     let universe = env_usize("RSCHED_UNIVERSE", 1 << 16).max(1);
-    let reps = env_usize("RSCHED_REPS", 8).clamp(1, 16);
     let delta = env_usize("RSCHED_DELTA", 1024).max(1) as u64;
-    let shard_mult = env_usize("RSCHED_SHARD_MULT", 2).clamp(1, 8);
-    let shards_override = env_opt_usize("RSCHED_SHARDS");
-    let (shards_per_worker, spawn_batch) = session_knobs();
-    let session_cfg = SessionConfig {
-        shards_per_worker,
-        spawn_batch,
-        ..SessionConfig::default()
-    };
-    let threads_sweep = env_thread_list(&[1, 2, 4, 8, 16, 32, 64]);
     println!(
-        "== bucket-hybrid contention sweep (scale {scale:?}, {ops_per_thread} ops/thread, \
-         Δ-stepping workload, Δ {delta}, universe {universe}, prefill {prefill}, \
-         best of {reps}, threads {threads_sweep:?}, shards/worker {shards_per_worker}, \
-         spawn batch {spawn_batch}) ==",
+        "== bucket-hybrid contention sweep ({}, Δ-stepping workload, Δ {delta}, \
+         universe {universe}) ==",
+        sweep.describe()
     );
-    let mut records: Vec<String> = Vec::new();
-    for &threads in &threads_sweep {
-        // Two priority shards per thread in every bucket, mirroring the
-        // MultiQueue's queue_multiplier = 2 configuration — but capped:
-        // the advancing front touches thousands of buckets over a run
-        // and every bucket owns a full shard set (bucket memory is not
-        // yet reclaimed mid-run, see ROADMAP), so an uncapped
-        // shards×buckets product OOMs deep-oversubscription sweeps.
-        let shards = shards_override.unwrap_or((shard_mult * threads).clamp(2, 16));
-        type Cell<'a> = (&'a str, Box<dyn Fn() -> Trial>);
-        let makes: Vec<Cell<'_>> = vec![
-            (
-                "mutexheap",
-                Box::new(move || {
-                    let q: BucketFifoQueue<MutexHeapSub<u64>> =
-                        QueueBuilder::new(shards).delta(delta).bucket_fifo_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ),
-            (
-                "skiplist",
-                Box::new(move || {
-                    let q: BucketFifoQueue<SkipShard<u64>> =
-                        QueueBuilder::new(shards).delta(delta).bucket_fifo_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ),
-        ];
-        // Interleave the repetitions round-robin so background-load
-        // drift on the host hits every cell equally; keep each cell's
-        // best run.
-        let mut best: Vec<Option<Trial>> = makes.iter().map(|_| None).collect();
-        for _rep in 0..reps {
-            for (slot, (_, make)) in best.iter_mut().zip(&makes) {
-                let t = make();
-                let better = slot
-                    .as_ref()
-                    .is_none_or(|b| t.pops as f64 / t.wall_s > b.pops as f64 / b.wall_s);
-                if better {
-                    *slot = Some(t);
-                }
-            }
-        }
-        for ((backend, _), t) in makes.iter().zip(best) {
-            let t = t.expect("reps >= 1");
-            let record = format!(
-                "{{\"queue\":\"bucket\",\"backend\":\"{backend}\",\"threads\":{threads},\
-                 \"shards\":{shards},\"delta\":{delta},\"prefill\":{prefill},\
-                 \"universe\":{universe},\
-                 \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
-                 \"stickiness\":1,\
-                 \"ops\":{},\"wall_s\":{:.6},\"ops_per_sec\":{:.1},\"pops\":{},\
-                 \"pops_per_sec\":{:.1},\"home_hits\":{},\"home_fraction\":{:.4},\
-                 \"steals\":{},\"steal_fraction\":{:.4},\"buckets_touched\":{},\
-                 \"inserts\":{},\"merges\":{},\"merge_fraction\":{:.4},{},\
-                 \"floor_p50\":{},\"floor_p99\":{},\"seg_installs\":{},\
-                 \"registry_probes\":{}}}",
-                t.ops,
-                t.wall_s,
-                t.ops as f64 / t.wall_s,
-                t.pops,
-                t.pops as f64 / t.wall_s,
-                t.home_hits,
-                if t.pops == 0 {
-                    0.0
-                } else {
-                    t.home_hits as f64 / t.pops as f64
-                },
-                t.steals,
-                if t.pops == 0 {
-                    0.0
-                } else {
-                    t.steals as f64 / t.pops as f64
-                },
-                t.buckets,
-                t.inserts,
-                t.merges,
-                if t.inserts + t.merges == 0 {
-                    0.0
-                } else {
-                    t.merges as f64 / (t.inserts + t.merges) as f64
-                },
-                telemetry_json_fields(&t.telemetry),
-                t.telemetry.floor.p50,
-                t.telemetry.floor.p99,
-                t.telemetry.seg_installs,
-                t.telemetry.registry_probes,
+    type Run = fn(QueueBuilder, &Cell, usize) -> (Trial, usize);
+    let backends: [(&str, Run); 2] = [
+        ("mutexheap", run::<MutexHeapSub<u64>>),
+        ("skiplist", run::<SkipShard<u64>>),
+    ];
+    for threads in sweep.threads.clone() {
+        // Capped: every bucket owns a full shard set and buckets are not
+        // yet reclaimed mid-run (see ROADMAP), so an uncapped
+        // shards × buckets product OOMs deep-oversubscription sweeps.
+        let cell = sweep.cell(threads, sweep.shards(threads, 2, 16), 1);
+        let b = QueueBuilder::new(cell.shards).delta(delta);
+        let best = sweep.best_of(&backends, |(_, run)| run(b, &cell, universe));
+        for ((backend, _), (t, buckets)) in backends.iter().zip(best) {
+            let extra = format!(
+                "\"delta\":{delta},\"universe\":{universe},\"stickiness\":1,\
+                 \"buckets_touched\":{buckets},\"floor_p50\":{},\"floor_p99\":{},\
+                 \"seg_installs\":{}",
+                t.telemetry.floor.p50, t.telemetry.floor.p99, t.telemetry.seg_installs,
             );
-            println!("json,{record}");
-            records.push(record);
+            sweep.emit("bucket", backend, &cell, &t, &extra);
         }
     }
-    write_json_artifact(&records);
+    sweep.finish();
 }

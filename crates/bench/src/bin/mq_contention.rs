@@ -1,17 +1,17 @@
 //! **MQ-CONTENTION** — multithreaded throughput sweep of the concurrent
 //! MultiQueue across priority-shard backends.
 //!
-//! For every `(backend ∈ {mutexheap, skiplist}) × threads` cell,
-//! `threads` workers hammer one shared [`ConcurrentMultiQueue`] with the
-//! **SSSP-pop workload**: alternating `push_or_decrease` of a random
-//! item at a priority just above the worker's advancing distance front,
-//! and a two-choice relaxed `pop` — the operation mix Algorithm 3 of the
-//! paper issues while the distance frontier advances, including the
-//! decrease-key hits a keyed MultiQueue exists for. Every worker drives
-//! the queue through its [`MqSession`]: the amortized epoch pin, the
-//! sticky peek cache and the spawn buffer (`RSCHED_SPAWN_BATCH`), so
-//! the sweep exercises exactly the runtime's session path. This is the
-//! experiment behind the lock-free-priority-shards claim: the mutex
+//! For every `(backend ∈ {mutexheap, skiplist}) × stickiness × threads`
+//! cell, `threads` workers hammer one shared [`ConcurrentMultiQueue`]
+//! with the **SSSP-pop workload** ([`front_trial`]): alternating
+//! `push_or_decrease` of a random item at a priority just above the
+//! worker's advancing distance front, and a two-choice relaxed `pop` —
+//! the operation mix Algorithm 3 of the paper issues while the distance
+//! frontier advances, including the decrease-key hits a keyed MultiQueue
+//! exists for. Every worker drives the queue through its [`MqSession`]:
+//! the amortized epoch pin, the sticky peek cache and the spawn buffer,
+//! so the sweep exercises exactly the runtime's session path. This is
+//! the experiment behind the lock-free-priority-shards claim: the mutex
 //! backend pays a lock per peek and convoys when a holder is preempted,
 //! while the skiplist backend peeks racily and claims with one CAS, so a
 //! preempted thread costs only its own progress.
@@ -26,23 +26,16 @@
 //! contending. CI validates that the crossover exists at some measured
 //! thread count ≥ 8.
 //!
-//! Results print as one JSON object per line (prefixed `json,`); set
-//! `RSCHED_JSON_OUT=<path>` to also write the full run as a JSON array
-//! (what CI uploads as the `BENCH_mq_contention.json` artifact).
-//! `RSCHED_THREADS=1,2,4,8` overrides the thread sweep, `RSCHED_SCALE`
-//! (small/medium/paper) the per-thread operation count, `RSCHED_REPS`
-//! the repetitions per cell (best run reported, suppressing scheduler
-//! noise on oversubscribed hosts), `RSCHED_SHARD_MULT` the
-//! shards-per-thread ratio (default 2, the paper's Figure 1
-//! configuration), `RSCHED_SHARDS` an absolute shard count,
-//! `RSCHED_PREFILL` / `RSCHED_UNIVERSE` the queue's starting depth and
-//! item-id range, and the session axes ride on `RSCHED_STICKINESS` — a
-//! comma-separated *sweep list* (e.g. `1,4,16`): every listed
-//! peek-cache-reuse budget runs as its own cell, so the
+//! The shared knobs and the trial itself are in
+//! [`rsched_bench::contention`]. This sweep defaults to two shards per
+//! thread (`RSCHED_SHARD_MULT`, the paper's Figure 1 configuration) and
+//! a 4096-deep prefill, and adds `RSCHED_UNIVERSE` (item-id range) and
+//! `RSCHED_STICKINESS`, a comma-separated *sweep list* (e.g. `1,4,16`):
+//! every listed peek-cache-reuse budget runs as its own cell, so the
 //! stickiness-vs-throughput trade on the SSSP workload lands in the
-//! JSON — plus `RSCHED_SPAWN_BATCH` and `RSCHED_SHARDS_PER_WORKER`
-//! (recorded for artifact uniformity; keyed placement itself has no
-//! home shards).
+//! JSON. `RSCHED_SHARDS_PER_WORKER` is recorded for artifact uniformity;
+//! keyed placement itself has no home shards, and `cache_hits` counts
+//! the sticky peek-cache hits.
 //!
 //! ```text
 //! cargo run -p rsched-bench --release --bin mq_contention
@@ -51,295 +44,53 @@
 //! ```
 //!
 //! [`MqSession`]: rsched_queues::MqSession
+//! [`front_trial`]: rsched_bench::contention::front_trial
 
-use rsched_bench::{
-    env_opt_usize, env_thread_list, env_usize, env_usize_list, session_knobs,
-    telemetry_json_fields, write_json_artifact, Scale,
-};
-use rsched_queues::{
-    telemetry, ConcurrentMultiQueue, FlushReport, MqSession, MutexHeapSub, PopSource, PushOutcome,
-    QueueBuilder, SessionConfig, SkipShard, SubPriority, TelemetrySnapshot,
-};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
+use rsched_bench::contention::{front_trial, Cell, Sweep, Trial};
+use rsched_bench::{env_usize, env_usize_list};
+use rsched_queues::{ConcurrentMultiQueue, MutexHeapSub, QueueBuilder, SkipShard, SubPriority};
 
-/// The operations the sweep needs, unified over every shard backend.
-/// All traffic flows through the worker session.
-trait ContendedMq: Sync {
-    fn open(&self, cfg: &SessionConfig) -> MqSession<u64>;
-    fn push_or_dec(&self, item: usize, prio: u64, s: &mut MqSession<u64>) -> PushOutcome;
-    fn pop(&self, s: &mut MqSession<u64>) -> Option<((usize, u64), PopSource)>;
-    fn flush(&self, s: &mut MqSession<u64>) -> FlushReport;
-}
-
-impl<S: SubPriority<u64>> ContendedMq for ConcurrentMultiQueue<u64, S> {
-    fn open(&self, cfg: &SessionConfig) -> MqSession<u64> {
-        self.session(cfg)
-    }
-
-    fn push_or_dec(&self, item: usize, prio: u64, s: &mut MqSession<u64>) -> PushOutcome {
-        self.push_session(item, prio, s)
-    }
-
-    fn pop(&self, s: &mut MqSession<u64>) -> Option<((usize, u64), PopSource)> {
-        self.pop_session(s)
-    }
-
-    fn flush(&self, s: &mut MqSession<u64>) -> FlushReport {
-        self.flush_session(s)
-    }
-}
-
-struct Trial {
-    wall_s: f64,
-    ops: u64,
-    pops: u64,
-    cache_hits: u64,
-    inserts: u64,
-    merges: u64,
-    telemetry: TelemetrySnapshot,
-}
-
-/// Per-worker conservation bookkeeping over session outcomes, split
-/// into inserts/merges for the JSON record; the net-insert rule itself
-/// is [`PushOutcome::net_new`].
-#[derive(Default)]
-struct Accounting {
-    pushes: u64,
-    net: i64,
-}
-
-impl Accounting {
-    fn push(&mut self, out: PushOutcome) {
-        self.pushes += 1;
-        self.net += out.net_new();
-    }
-
-    fn flush(&mut self, rep: FlushReport) {
-        self.net -= rep.merged as i64;
-    }
-
-    fn inserts(&self) -> u64 {
-        self.net as u64
-    }
-
-    fn merges(&self) -> u64 {
-        self.pushes - self.net as u64
-    }
-}
-
-/// Run one contention cell: `threads` workers, each `ops_per_thread`
-/// operations of the SSSP-pop mix against `queue`, through sessions.
-fn trial<Q: ContendedMq>(
-    queue: &Q,
-    threads: usize,
-    ops_per_thread: usize,
-    prefill: usize,
-    universe: usize,
-    session_cfg: SessionConfig,
-) -> Trial {
-    use rand::Rng;
-    let prefill_inserts = {
-        let mut acct = Accounting::default();
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0x55_59);
-        let mut session = queue.open(&SessionConfig::unaffine(0x55_59));
-        for _ in 0..prefill {
-            let item = rng.gen_range(0..universe);
-            acct.push(queue.push_or_dec(item, rng.gen_range(0..1_000), &mut session));
-        }
-        acct.flush(queue.flush(&mut session));
-        acct.inserts()
-    };
-    // Measured telemetry window: prefill discarded, drain excluded.
-    telemetry::reset();
-    let barrier = Barrier::new(threads);
-    let pops = AtomicU64::new(0);
-    let cache_hits = AtomicU64::new(0);
-    let inserts = AtomicU64::new(0);
-    let merges = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let (barrier, pops, cache_hits, inserts, merges, queue) =
-                (&barrier, &pops, &cache_hits, &inserts, &merges, &queue);
-            scope.spawn(move || {
-                let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(
-                    tid as u64 * 0x9E37 + 1,
-                );
-                let mut acct = Accounting::default();
-                let (mut my_pops, mut my_cache_hits) = (0u64, 0u64);
-                // The worker's advancing "distance front", as in SSSP:
-                // new priorities land just above the last popped one.
-                let mut front = 0u64;
-                let mut session = queue.open(&SessionConfig {
-                    tid,
-                    workers: threads,
-                    seed: tid as u64 * 0x5E55 + 7,
-                    ..session_cfg
-                });
-                barrier.wait();
-                for op in 0..ops_per_thread {
-                    if op % 2 == 0 {
-                        let item = rng.gen_range(0..universe);
-                        let prio = front + rng.gen_range(0..1_000u64);
-                        acct.push(queue.push_or_dec(item, prio, &mut session));
-                    } else if let Some(((_, d), src)) = queue.pop(&mut session) {
-                        my_pops += 1;
-                        if src == PopSource::Home {
-                            my_cache_hits += 1;
-                        }
-                        front = front.max(d);
-                    }
-                }
-                // Forced flush: parked pushes must publish before the
-                // conservation accounting below.
-                acct.flush(queue.flush(&mut session));
-                pops.fetch_add(my_pops, Ordering::Relaxed);
-                cache_hits.fetch_add(my_cache_hits, Ordering::Relaxed);
-                inserts.fetch_add(acct.inserts(), Ordering::Relaxed);
-                merges.fetch_add(acct.merges(), Ordering::Relaxed);
-            });
-        }
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    let snapshot = telemetry::capture();
-    // Drain (outside the timed phase) and check conservation: every
-    // insert that reported "net-new" must come out exactly once.
-    let mut drain = queue.open(&SessionConfig::unaffine(0));
-    let mut drained = 0u64;
-    while queue.pop(&mut drain).is_some() {
-        drained += 1;
-    }
-    let popped = pops.load(Ordering::Relaxed);
-    let inserted = prefill_inserts + inserts.load(Ordering::Relaxed);
-    assert_eq!(
-        inserted,
-        popped + drained,
-        "conservation violated: {inserted} in, {popped} + {drained} out"
-    );
-    Trial {
-        wall_s,
-        ops: (threads * ops_per_thread) as u64,
-        pops: popped,
-        cache_hits: cache_hits.load(Ordering::Relaxed),
-        inserts: inserts.load(Ordering::Relaxed),
-        merges: merges.load(Ordering::Relaxed),
-        telemetry: snapshot,
-    }
+fn run<S: SubPriority<u64>>(b: QueueBuilder, cell: &Cell, universe: usize) -> Trial {
+    let q: ConcurrentMultiQueue<u64, S> = b.universe(universe).multiqueue_on();
+    front_trial(&q, cell, universe, 0x55_59)
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let ops_per_thread = match scale {
-        Scale::Small => 100_000usize,
-        Scale::Medium => 400_000,
-        Scale::Paper => 1_000_000,
-    };
-    let prefill = env_usize("RSCHED_PREFILL", 4_096);
+    let mut sweep = Sweep::from_env(&[1, 2, 4, 8, 16, 32, 64], 2, 4_096);
     let universe = env_usize("RSCHED_UNIVERSE", 1 << 16).max(1);
-    let reps = env_usize("RSCHED_REPS", 8).clamp(1, 16);
-    let shard_mult = env_usize("RSCHED_SHARD_MULT", 2).clamp(1, 8);
-    let shards_override = env_opt_usize("RSCHED_SHARDS");
-    let (shards_per_worker, spawn_batch) = session_knobs();
-    // Stickiness is a *sweep* axis (`RSCHED_STICKINESS=1,4,...`): the
-    // peek cache trades rank slack for peek traffic, and the SSSP-pop
-    // workload shows that trade as throughput + merge-fraction shifts
-    // per stickiness value in the JSON, not just as the drain
-    // displacement `ablation_stickiness` measures.
+    // The session clamps stickiness to >= 1, so sanitize before it
+    // labels a cell: a raw 0 would name a cell other than what ran.
     let mut stickiness_sweep = env_usize_list("RSCHED_STICKINESS", &[1]);
-    // Sanitize before the sweep is used as a cell identity axis: the
-    // session clamps stickiness to >= 1, so a raw 0 would emit a cell
-    // labelled differently from what actually ran.
     for s in &mut stickiness_sweep {
         *s = (*s).max(1);
     }
     stickiness_sweep.dedup();
-    // Deep oversubscription on purpose: the crossover is the result.
-    let threads_sweep = env_thread_list(&[1, 2, 4, 8, 16, 32, 64]);
     println!(
-        "== MultiQueue contention sweep (scale {scale:?}, {ops_per_thread} ops/thread, \
-         SSSP-pop workload, universe {universe}, prefill {prefill}, best of {reps}, \
-         threads {threads_sweep:?}, spawn batch {spawn_batch}, \
+        "== MultiQueue contention sweep ({}, SSSP-pop workload, universe {universe}, \
          stickiness {stickiness_sweep:?}) ==",
+        sweep.describe()
     );
-    let mut records: Vec<String> = Vec::new();
-    for &threads in &threads_sweep {
-        // Two shards per thread: the paper's Figure 1 MultiQueue
-        // configuration (queue_multiplier = 2).
-        let shards = shards_override.unwrap_or((shard_mult * threads).max(2));
-        type Cell<'a> = (&'a str, usize, Box<dyn Fn() -> Trial>);
-        let mut makes: Vec<Cell<'_>> = Vec::new();
-        for &stickiness in &stickiness_sweep {
-            let session_cfg = SessionConfig {
-                shards_per_worker,
-                spawn_batch,
-                stickiness: stickiness.max(1),
-                ..SessionConfig::default()
-            };
-            makes.push((
-                "mutexheap",
-                stickiness,
-                Box::new(move || {
-                    let q: ConcurrentMultiQueue<u64, MutexHeapSub<u64>> =
-                        QueueBuilder::new(shards).universe(universe).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ));
-            makes.push((
-                "skiplist",
-                stickiness,
-                Box::new(move || {
-                    let q: ConcurrentMultiQueue<u64, SkipShard<u64>> =
-                        QueueBuilder::new(shards).universe(universe).multiqueue_on();
-                    trial(&q, threads, ops_per_thread, prefill, universe, session_cfg)
-                }),
-            ));
-        }
-        // Interleave the repetitions round-robin so background-load
-        // drift on the host hits every cell equally; keep each cell's
-        // best run.
-        let mut best: Vec<Option<Trial>> = makes.iter().map(|_| None).collect();
-        for _rep in 0..reps {
-            for (slot, (_, _, make)) in best.iter_mut().zip(&makes) {
-                let t = make();
-                let better = slot
-                    .as_ref()
-                    .is_none_or(|b| t.pops as f64 / t.wall_s > b.pops as f64 / b.wall_s);
-                if better {
-                    *slot = Some(t);
-                }
-            }
-        }
-        for ((backend, stickiness, _), t) in makes.iter().zip(best) {
-            let t = t.expect("reps >= 1");
-            let record = format!(
-                "{{\"queue\":\"multiqueue\",\"backend\":\"{backend}\",\"threads\":{threads},\
-                 \"shards\":{shards},\"prefill\":{prefill},\"universe\":{universe},\
-                 \"shards_per_worker\":{shards_per_worker},\"spawn_batch\":{spawn_batch},\
-                 \"stickiness\":{stickiness},\
-                 \"ops\":{},\"wall_s\":{:.6},\"ops_per_sec\":{:.1},\"pops\":{},\
-                 \"pops_per_sec\":{:.1},\"cache_hits\":{},\"inserts\":{},\"merges\":{},\
-                 \"merge_fraction\":{:.4},{},\"registry_probes\":{}}}",
-                t.ops,
-                t.wall_s,
-                t.ops as f64 / t.wall_s,
-                t.pops,
-                t.pops as f64 / t.wall_s,
-                t.cache_hits,
-                t.inserts,
-                t.merges,
-                if t.inserts + t.merges == 0 {
-                    0.0
-                } else {
-                    t.merges as f64 / (t.inserts + t.merges) as f64
-                },
-                telemetry_json_fields(&t.telemetry),
-                t.telemetry.registry_probes,
+    type Run = fn(QueueBuilder, &Cell, usize) -> Trial;
+    let backends: [(&str, Run); 2] = [
+        ("mutexheap", run::<MutexHeapSub<u64>>),
+        ("skiplist", run::<SkipShard<u64>>),
+    ];
+    for threads in sweep.threads.clone() {
+        let shards = sweep.shards(threads, 2, usize::MAX);
+        let cells: Vec<(&str, Run, Cell)> = stickiness_sweep
+            .iter()
+            .flat_map(|&s| backends.map(|(name, run)| (name, run, sweep.cell(threads, shards, s))))
+            .collect();
+        let best = sweep.best_of(&cells, |(_, run, cell)| {
+            (run(QueueBuilder::new(shards), cell, universe), ())
+        });
+        for ((backend, _, cell), (t, ())) in cells.iter().zip(best) {
+            let extra = format!(
+                "\"universe\":{universe},\"stickiness\":{},\"cache_hits\":{}",
+                cell.stickiness, t.home_hits
             );
-            println!("json,{record}");
-            records.push(record);
+            sweep.emit("multiqueue", backend, cell, &t, &extra);
         }
     }
-    write_json_artifact(&records);
+    sweep.finish();
 }

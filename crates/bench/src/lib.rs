@@ -1,9 +1,13 @@
 //! Shared infrastructure for the experiment binaries that regenerate every
-//! figure and theorem-shape experiment of the paper (see DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for recorded results).
+//! figure and theorem-shape experiment of the paper (one binary each under
+//! `src/bin/`; each module doc says what it measures and how to run it).
 //!
-//! All experiments print fixed-width text tables plus machine-readable CSV
-//! lines (prefixed `csv,`) so results can be collected with `grep ^csv`.
+//! The figure and theorem experiments print fixed-width text tables plus
+//! machine-readable CSV lines (prefixed `csv,`) so results can be
+//! collected with `grep ^csv`. The contention, serving, FIFO rank-profile
+//! and trace-export runs print one JSON object per line (prefixed
+//! `json,`); all but the rank profile also write the run as a JSON array
+//! to `RSCHED_JSON_OUT`, the artifact framing `bench_compare` gates.
 //!
 //! ## Scaling
 //!
@@ -39,7 +43,8 @@ impl Scale {
 /// * `random` — uniform G(n, m), weights 1..=100 (paper: 1M nodes / 10M
 ///   edges);
 /// * `road` — grid with physical-distance-like weights (substitution for
-///   the USA road network, see DESIGN.md);
+///   the USA road network: a planar grid keeps the large hop diameter that
+///   makes road SSSP relax more);
 /// * `social` — preferential-attachment power law, weights 1..=100
 ///   (substitution for LiveJournal).
 pub fn experiment_graphs(scale: Scale) -> Vec<(&'static str, CsrGraph)> {
@@ -80,14 +85,6 @@ pub fn thread_sweep() -> Vec<usize> {
     out
 }
 
-/// Thread sweep for the contention benchmarks: the `RSCHED_THREADS`
-/// environment variable as a comma-separated list, or `default`.
-pub fn env_thread_list(default: &[usize]) -> Vec<usize> {
-    let mut list = env_usize_list("RSCHED_THREADS", default);
-    list.retain(|&t| t >= 1);
-    list
-}
-
 // The env-knob parsers live in `rsched_runtime::env` (the lowest crate
 // with env-tunable configuration — `RuntimeConfig::default` and the
 // serve binary read knobs too); re-exported here so every bench bin
@@ -100,29 +97,8 @@ pub use rsched_runtime::env::{
 // and the diurnal-trace loader.
 pub mod json;
 
-/// The worker-session tuning knobs every contention benchmark sweeps and
-/// records: `RSCHED_SHARDS_PER_WORKER` (home shards per worker, default
-/// 1; 0 disables affinity) and `RSCHED_SPAWN_BATCH` (spawn-buffer
-/// capacity, default 1 = publish immediately). Returned as
-/// `(shards_per_worker, spawn_batch)`; emit both in every JSON record so
-/// the BENCH artifacts pin down the session axes of a run.
-pub fn session_knobs() -> (usize, usize) {
-    (
-        env_usize("RSCHED_SHARDS_PER_WORKER", 1),
-        env_usize("RSCHED_SPAWN_BATCH", 1),
-    )
-}
-
-/// The adaptive-spawn-batch knob (`RSCHED_SPAWN_BATCH_ADAPTIVE`,
-/// non-zero enables; default off): sessions start unbatched and grow
-/// the live spawn buffer toward `RSCHED_SPAWN_BATCH` on home-shard pop
-/// hits, shrinking toward 1 on misses. Emitted in every contention
-/// JSON record as a *non-identity* field (`spawn_batch_adaptive`), so
-/// runs with the flag flipped still compare against the same baseline
-/// cell.
-pub fn spawn_batch_adaptive() -> bool {
-    env_usize("RSCHED_SPAWN_BATCH_ADAPTIVE", 0) != 0
-}
+// The shared trial harness of the three contention sweeps.
+pub mod contention;
 
 /// The shared telemetry tail-field fragment of the bench JSON schema
 /// (no surrounding braces, no leading comma): per-op CAS-retry and

@@ -1,7 +1,7 @@
 //! Closed-form bounds from the paper, as executable formulas.
 //!
-//! The benchmark harness prints these next to measured values so
-//! EXPERIMENTS.md can record paper-vs-measured for every theorem. The
+//! The theorem-shape experiment binaries print these next to measured
+//! values, paper-vs-measured for every theorem. The
 //! constants hidden in the big-O are not specified by the paper; the
 //! formulas here return the *parametric part* (e.g. `k⁴ · ln n` for
 //! Theorem 3.3), and experiments check **shape** (growth in each parameter)

@@ -27,7 +27,7 @@
 //! *augmented* point set (data points plus the three super-triangle
 //! vertices). This sidesteps symbolic "ghost vertex" case analysis while
 //! keeping every insertion order — including the adversarial orders a
-//! relaxed scheduler produces — well-defined and exact. See DESIGN.md.
+//! relaxed scheduler produces — well-defined and exact.
 
 pub mod mesh;
 pub mod point;

@@ -287,13 +287,6 @@ pub struct SessionConfig {
     /// Spawn-buffer capacity (clamped to [`MAX_SPAWN_BATCH`]); `1`
     /// publishes every push immediately.
     pub spawn_batch: usize,
-    /// Adapt the live spawn-buffer size at runtime (FIFO sessions):
-    /// start at 1, double toward `spawn_batch` while home-shard pops
-    /// hit, and halve toward 1 on every pop miss, so batching tracks
-    /// how much locally-produced work the session is actually seeing.
-    /// `spawn_batch` stays the hard ceiling. Off by default — the
-    /// buffer is then a fixed `spawn_batch` slots, as before.
-    pub adaptive_spawn: bool,
     /// How many consecutive pops may reuse the session's sticky peek
     /// cache before a forced re-sample (MultiQueue); `1` re-samples
     /// every pop — the classic two-choice protocol.
@@ -308,7 +301,6 @@ impl Default for SessionConfig {
             seed: 0,
             shards_per_worker: 1,
             spawn_batch: 1,
-            adaptive_spawn: false,
             stickiness: 1,
         }
     }

@@ -17,7 +17,8 @@
 //! to guarantee that the minimum is eventually collected). It plugs into the
 //! sequential scheduling model of Sections 2–5. The concurrent experiments
 //! of the paper use the MultiQueue, which this crate provides in a fully
-//! concurrent form; see `DESIGN.md` for this documented substitution.
+//! concurrent form, so this sequential SprayList stands in for the
+//! original lock-free one only in the sequential model.
 
 use crate::{RelaxedQueue, NOT_PRESENT};
 use rand::rngs::SmallRng;
@@ -354,7 +355,7 @@ impl<P: Ord + Copy> RelaxedQueue<P> for SprayList<P> {
 /// `O(s·w)` elements overall, so the structure is a relaxed priority queue
 /// with a correspondingly larger (still bounded) relaxation factor. The
 /// original SprayList is lock-free; this lock-based variant preserves the
-/// *relaxation semantics* the paper relies on (see DESIGN.md deviations).
+/// *relaxation semantics* the paper relies on, not its progress guarantee.
 /// One shard of a [`ConcurrentSprayList`].
 type SprayShard<P> = crossbeam::utils::CachePadded<parking_lot::Mutex<SprayList<P>>>;
 

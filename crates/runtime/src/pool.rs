@@ -122,14 +122,6 @@ pub struct RuntimeConfig {
     /// publish as one batch. Defaults to the `RSCHED_SPAWN_BATCH`
     /// environment variable, else 1 (publish immediately).
     pub spawn_batch: usize,
-    /// Adaptive spawn batching: sessions start unbatched, double their
-    /// live buffer toward `spawn_batch` while home-shard pops hit, and
-    /// halve toward 1 on pop misses (the quiescence signal). Without home
-    /// shards (`shards_per_worker` 0, the default) no pop is a home hit,
-    /// so the buffer never grows. Defaults to the
-    /// `RSCHED_SPAWN_BATCH_ADAPTIVE` environment variable (non-zero
-    /// enables), else off.
-    pub spawn_batch_adaptive: bool,
     /// How many consecutive pops may reuse a MultiQueue session's
     /// sticky peek cache before a forced re-sample; `1` (the default)
     /// re-samples every pop — the classic two-choice protocol.
@@ -165,7 +157,6 @@ impl Default for RuntimeConfig {
             seed: 0,
             shards_per_worker: env_usize("RSCHED_SHARDS_PER_WORKER", 0),
             spawn_batch: env_usize("RSCHED_SPAWN_BATCH", 1),
-            spawn_batch_adaptive: env_usize("RSCHED_SPAWN_BATCH_ADAPTIVE", 0) != 0,
             stickiness: env_usize("RSCHED_STICKINESS", 1).max(1),
             delta: env_u64("RSCHED_DELTA", 0),
             bucket_shards: env_usize("RSCHED_BUCKET_SHARDS", 0),
@@ -192,7 +183,6 @@ impl RuntimeConfig {
             seed: self.seed ^ (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             shards_per_worker: self.shards_per_worker,
             spawn_batch: self.spawn_batch,
-            adaptive_spawn: self.spawn_batch_adaptive,
             stickiness: self.stickiness.max(1),
         }
     }
